@@ -1,6 +1,7 @@
 package shiftgears_test
 
-// One benchmark per experiment table/figure of DESIGN.md. Each bench runs
+// One benchmark per experiment table/figure of internal/experiments (the
+// index is experiments.All). Each bench runs
 // the workload that regenerates its table's headline row and reports the
 // paper's observables (rounds, message bytes, local ops) as custom metrics,
 // so `go test -bench=. -benchmem` reproduces the evaluation's shape.

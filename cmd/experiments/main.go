@@ -1,5 +1,5 @@
-// Command experiments regenerates the paper-reproduction tables recorded in
-// EXPERIMENTS.md: every theorem bound (E1–E5), the Coan/PSL/Phase-Queen
+// Command experiments regenerates the paper-reproduction tables defined in
+// internal/experiments and prints them as markdown: every theorem bound (E1–E5), the Coan/PSL/Phase-Queen
 // comparisons (E6, E7, E9), the fault-detection dynamics (E8), the
 // discovery/masking ablation (E10), and the paper's figures (F1–F3).
 //

@@ -3,7 +3,7 @@
 // The paper's adversary is unrestricted: "There is no restriction on the
 // behavior of faulty processors". Worst-case adversaries exist only inside
 // the proofs, so the reproduction substitutes a library of concrete
-// strategies (see DESIGN.md, substitution 2). Each faulty processor runs a
+// strategies (the catalog behind New and Names). Each faulty processor runs a
 // shadow copy of the honest protocol and a Strategy that transforms the
 // shadow's outgoing broadcast into arbitrary — including two-faced —
 // per-destination payloads. Driving strategies from the honest payload
@@ -45,15 +45,44 @@ type Processor struct {
 var _ sim.Processor = (*Processor)(nil)
 
 // NewProcessor builds a faulty processor. The RNG is seeded from (seed,
-// shadow id) so executions are deterministic in both engine modes.
+// shadow id) so executions are deterministic in both engine modes. Its
+// source is built on the first draw: most strategies never draw, and a
+// seeded math/rand source is a ~5 KB allocation per faulty instance.
 func NewProcessor(shadow sim.Processor, strat Strategy, seed int64, n int) *Processor {
 	return &Processor{
 		shadow: shadow,
 		strat:  strat,
-		rng:    rand.New(rand.NewSource(seed ^ int64(shadow.ID()+1)*0x9e3779b9)), //gearsvet:allow seed derives from the run seed and the shadow's ID (golden-ratio mixed), so the stream replays identically per configuration
+		rng:    rand.New(&lazySource{seed: seed ^ int64(shadow.ID()+1)*0x9e3779b9, newSource: rand.NewSource}), //gearsvet:allow seed derives from the run seed and the shadow's ID (golden-ratio mixed), so the stream replays identically per configuration
 		n:      n,
 	}
 }
+
+// lazySource is a rand.Source64 that builds its underlying source with
+// newSource(seed) on the first draw. Its stream is identical to
+// newSource(seed)'s. The constructor is a field, not a call in source,
+// so the seeded PRNG construction stays at the one vetted call site in
+// NewProcessor.
+type lazySource struct {
+	seed      int64
+	newSource func(seed int64) rand.Source
+	src       rand.Source64
+}
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = s.newSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+// Int63 implements rand.Source.
+func (s *lazySource) Int63() int64 { return s.source().Int63() }
+
+// Uint64 implements rand.Source64.
+func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
+
+// Seed implements rand.Source: the next draw starts the stream of seed.
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // ID implements sim.Processor.
 func (f *Processor) ID() int { return f.shadow.ID() }

@@ -248,3 +248,46 @@ func TestHonestPayloadHelper(t *testing.T) {
 		t.Error("skips nil entries")
 	}
 }
+
+func TestProcessorLazyRNGStreamMatchesEagerSource(t *testing.T) {
+	// A processor's draws must be the stream rand.New(rand.NewSource(s))
+	// gives for its mixed seed s: building the source on the first draw
+	// changes nothing a strategy sees.
+	const seed, id, n = 99, 4, 7
+	p := NewProcessor(&fakeShadow{id: id}, Garbage{}, seed, n)
+	ref := rand.New(rand.NewSource(seed ^ int64(id+1)*0x9e3779b9))
+	for round := 1; round <= 20; round++ {
+		got := p.PrepareRound(round)
+		want := Garbage{}.Mutate(round, id, n, (&fakeShadow{id: id}).PrepareRound(round), ref)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d payloads, want %d", round, len(got), len(want))
+		}
+		for j := range got {
+			if !bytes.Equal(got[j], want[j]) {
+				t.Fatalf("round %d dest %d: payload %v, want %v", round, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+func TestSilentProcessorBuildsNoSource(t *testing.T) {
+	// A strategy that never draws never pays for a seeded source: a silent
+	// processor's whole life allocates less than the same life plus one
+	// draw, which builds the source.
+	life := func(draw bool) func() {
+		return func() {
+			p := NewProcessor(&fakeShadow{id: 2}, Silent{}, 5, 3)
+			for round := 1; round <= 5; round++ {
+				p.PrepareRound(round)
+			}
+			if draw {
+				p.rng.Int63()
+			}
+		}
+	}
+	silent := testing.AllocsPerRun(50, life(false))
+	drawn := testing.AllocsPerRun(50, life(true))
+	if drawn <= silent {
+		t.Fatalf("a draw allocated nothing beyond a silent processor's %.0f allocs: the source was built eagerly", silent)
+	}
+}

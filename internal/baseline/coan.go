@@ -11,7 +11,7 @@ import "math"
 // points.
 //
 // The paper compares trade-off curves, not implementations, so the
-// comparator is reproduced analytically (DESIGN.md substitution 3): Rounds
+// comparator is reproduced analytically (experiments.E6Tradeoff): Rounds
 // and MessageNodes mirror the shared trade-off, LocalOps carries the
 // exponential term that Algorithms A and B eliminate.
 type CoanPoint struct {

@@ -27,7 +27,7 @@ type Counters struct {
 }
 
 // Options disable individual mechanisms of the algorithms for the ablation
-// experiments (DESIGN.md, E10). The zero value is the paper's algorithm.
+// experiment (experiments.E10Ablation). The zero value is the paper's algorithm.
 // Disabling either mechanism voids the block-progress guarantee that
 // Propositions 2 and 3 rest on — which is exactly what the ablation
 // demonstrates.
@@ -43,7 +43,11 @@ type Options struct {
 
 // Env holds the immutable, shareable pieces of one protocol configuration:
 // the plan and the canonical enumerations. All replicas of a run share one
-// Env, so the (potentially large) enumerations are built once.
+// Env, so the (potentially large) enumerations are built once. A
+// replicated log keeps one Env per (algorithm, source) pair for all of its
+// replicas and slots: a static log compiles them at construction, a
+// gear-scheduled log fills one shared cache lazily, the first time any
+// replica's policy picks the pair.
 //
 // Opts may be set after NewEnv and before replicas are created; it applies
 // to every replica built from this Env.

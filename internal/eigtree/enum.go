@@ -158,25 +158,11 @@ func (e *Enum) LastLabel(h, idx int) int {
 }
 
 // ChildLabel returns the label of the k-th child (0-based, in ascending
-// label order) of the node at index idx of level h.
+// label order) of the node at index idx of level h. It requires
+// h < MaxLevel: the label is read from the child's stored sequence,
+// which only enumerated levels have.
 func (e *Enum) ChildLabel(h, idx, k int) int {
-	if e.repeat {
-		return k
-	}
-	seq := e.levels[h][idx]
-	// The k-th allowed label: ascending ids, skipping the source and the
-	// labels already on the path.
-	rank := 0
-	for p := 0; p < e.n; p++ {
-		if p == e.source || seq.contains(p) {
-			continue
-		}
-		if rank == k {
-			return p
-		}
-		rank++
-	}
-	return -1
+	return e.LastLabel(h+1, idx*e.ChildCount(h)+k)
 }
 
 // ChildIndex returns the index in level h+1 of the child of node idx

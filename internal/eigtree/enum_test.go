@@ -112,22 +112,57 @@ func TestEnumSequencesUniqueAndSorted(t *testing.T) {
 	}
 }
 
+// enumMatrix returns the enumerations the structural tests sweep: n in
+// {4, 7, 13}, with and without repetitions, each as deep as stays small
+// (full height for n=4 and n=7 without repetitions).
+func enumMatrix(t *testing.T) []*Enum {
+	t.Helper()
+	var out []*Enum
+	for _, c := range []struct {
+		n, source int
+		repeat    bool
+		maxLevel  int
+	}{
+		{4, 0, false, 3}, {4, 2, true, 4},
+		{7, 3, false, 6}, {7, 0, true, 3},
+		{13, 5, false, 4}, {13, 12, true, 3},
+	} {
+		out = append(out, mustEnum(t, c.n, c.source, c.repeat, c.maxLevel))
+	}
+	return out
+}
+
 func TestEnumChildrenContiguous(t *testing.T) {
 	// The children of node i at level h occupy [i*c, (i+1)*c) of level h+1,
-	// in ascending label order.
-	for _, repeat := range []bool{false, true} {
-		e := mustEnum(t, 6, 1, repeat, 2)
-		for h := 0; h < 2; h++ {
+	// in ascending label order, and are exactly the labels the tree allows
+	// under the node: every processor with repetitions; without them,
+	// every processor that is neither the source nor on the path.
+	for _, e := range enumMatrix(t) {
+		for h := 0; h < e.MaxLevel(); h++ {
 			cc := e.ChildCount(h)
 			for i, seq := range e.Level(h) {
+				var allowed []int
+				for p := 0; p < e.N(); p++ {
+					if e.Repeat() || (p != e.Source() && !seq.contains(p)) {
+						allowed = append(allowed, p)
+					}
+				}
+				if len(allowed) != cc {
+					t.Fatalf("n=%d repeat=%v level %d: node %q allows %d labels, ChildCount says %d",
+						e.N(), e.Repeat(), h, seq, len(allowed), cc)
+				}
 				for k := 0; k < cc; k++ {
 					child := e.Level(h + 1)[i*cc+k]
 					if string(child[:len(child)-1]) != string(seq) {
-						t.Fatalf("repeat=%v: child %q of %q has wrong prefix", repeat, child, seq)
+						t.Fatalf("n=%d repeat=%v: child %q of %q has wrong prefix", e.N(), e.Repeat(), child, seq)
 					}
-					if got, want := int(child[len(child)-1]), e.ChildLabel(h, i, k); got != want {
-						t.Fatalf("repeat=%v: child %d of node %d has label %d, ChildLabel says %d",
-							repeat, k, i, got, want)
+					if got := int(child[len(child)-1]); got != allowed[k] {
+						t.Fatalf("n=%d repeat=%v level %d: child %d of node %d has label %d, want %d",
+							e.N(), e.Repeat(), h, k, i, got, allowed[k])
+					}
+					if got := e.ChildLabel(h, i, k); got != allowed[k] {
+						t.Fatalf("n=%d repeat=%v level %d: ChildLabel(%d, %d) = %d, want %d",
+							e.N(), e.Repeat(), h, i, k, got, allowed[k])
 					}
 				}
 			}
@@ -137,22 +172,21 @@ func TestEnumChildrenContiguous(t *testing.T) {
 
 func TestChildIndexRoundTrip(t *testing.T) {
 	// ChildIndex(h, i, ChildLabel(h, i, k)) == i*cc+k for every node/child.
-	for _, repeat := range []bool{false, true} {
-		e := mustEnum(t, 7, 0, repeat, 2)
-		for h := 0; h < 2; h++ {
+	for _, e := range enumMatrix(t) {
+		for h := 0; h < e.MaxLevel(); h++ {
 			cc := e.ChildCount(h)
 			for i := 0; i < e.Size(h); i++ {
 				for k := 0; k < cc; k++ {
 					label := e.ChildLabel(h, i, k)
 					idx, ok := e.ChildIndex(h, i, label)
 					if !ok {
-						t.Fatalf("repeat=%v: ChildIndex rejects label %d of node %d", repeat, label, i)
+						t.Fatalf("n=%d repeat=%v: ChildIndex rejects label %d of node %d", e.N(), e.Repeat(), label, i)
 					}
 					if idx != i*cc+k {
-						t.Fatalf("repeat=%v: ChildIndex(%d,%d,%d) = %d, want %d", repeat, h, i, label, idx, i*cc+k)
+						t.Fatalf("n=%d repeat=%v: ChildIndex(%d,%d,%d) = %d, want %d", e.N(), e.Repeat(), h, i, label, idx, i*cc+k)
 					}
 					if got := e.ParentIndex(h+1, idx); got != i {
-						t.Fatalf("repeat=%v: ParentIndex(%d,%d) = %d, want %d", repeat, h+1, idx, got, i)
+						t.Fatalf("n=%d repeat=%v: ParentIndex(%d,%d) = %d, want %d", e.N(), e.Repeat(), h+1, idx, got, i)
 					}
 				}
 			}

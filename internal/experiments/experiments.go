@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation, as indexed in DESIGN.md: the round/message/computation bounds
+// evaluation, as indexed by All: the round/message/computation bounds
 // of Theorems 1–4 and Proposition 1 (E1–E5), the Coan and PSL comparisons
 // (E6, E7), the fault-detection dynamics behind the block-progress lemmas
 // (E8), the Section 5 extension comparison (E9), an ablation of fault
@@ -7,7 +7,7 @@
 // extensions (E11, E12), and the paper's three figures (F1–F3).
 //
 // Each experiment produces a Table that renders to markdown;
-// cmd/experiments prints them, and EXPERIMENTS.md records the results.
+// cmd/experiments prints them.
 package experiments
 
 import (
@@ -62,7 +62,7 @@ type Experiment struct {
 	Run   func() (*Table, error)
 }
 
-// All returns every experiment in DESIGN.md order.
+// All returns every experiment in index order (E1–E12, then F1–F3).
 func All() []Experiment {
 	return []Experiment{
 		{"E1", "Exponential Algorithm (Proposition 1)", E1Exponential},

@@ -106,7 +106,7 @@ func E12Multivalued() (*Table, error) {
 		"The reduction costs exactly two rounds over the binary engine, as the remark promises, and keeps "+
 			"every post-reduction message at one byte no matter how large the domain (here |V| = 256).",
 		"This variant inherits the binary engine's n ≥ 4t+1; Turpin and Coan's original threshold scheme "+
-			"achieves n ≥ 3t+1 (DESIGN.md).")
+			"achieves n ≥ 3t+1.")
 	return tab, nil
 }
 

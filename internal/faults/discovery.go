@@ -65,15 +65,17 @@ func DiscoverStored(tr *eigtree.Tree, lst *List, t, round int) ([]int, PassStats
 		}
 		dissent := 0
 		for k := 0; k < cc; k++ {
+			// A child agreeing with the majority never dissents, so only
+			// dissenting children need their label looked up.
+			if vals[k] == maj {
+				continue
+			}
 			q := enum.ChildLabel(parents, j, k)
 			// Children labelled with the source exist only in Algorithm C's
 			// tree with repetitions; the source halts after round 1, so
 			// those slots are permanently the default and carry no evidence
 			// about r — they do not count as dissent.
-			if q == enum.Source() {
-				continue
-			}
-			if !lst.Contains(q) && vals[k] != maj {
+			if q != enum.Source() && !lst.Contains(q) {
 				dissent++
 			}
 		}
@@ -132,11 +134,12 @@ func DiscoverConverted(res *eigtree.Resolution, lst *List, t, round int) ([]int,
 			}
 			dissent := 0
 			for k := 0; k < cc; k++ {
-				q := enum.ChildLabel(h, j, k)
-				if q == enum.Source() {
-					continue // see DiscoverStored: dead source slots
+				if vals[k] == maj {
+					continue // see DiscoverStored: agreement never dissents
 				}
-				if !lst.Contains(q) && vals[k] != maj {
+				q := enum.ChildLabel(h, j, k)
+				// See DiscoverStored: dead source slots never dissent.
+				if q != enum.Source() && !lst.Contains(q) {
 					dissent++
 				}
 			}

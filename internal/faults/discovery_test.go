@@ -1,6 +1,9 @@
 package faults
 
 import (
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"shiftgears/internal/eigtree"
@@ -306,5 +309,214 @@ func TestDiscoveryDeterministicOrder(t *testing.T) {
 	newly, _ := DiscoverStored(tr, NewList(8), 2, 3)
 	if len(newly) != 2 || newly[0] != 2 || newly[1] != 5 {
 		t.Fatalf("accused %v, want [2 5]", newly)
+	}
+}
+
+// refChildLabel derives a child's label without the enumeration's stored
+// child sequences: the k-th allowed label under the node, in ascending
+// order, skipping the source and the labels on the path when the tree has
+// no repetitions.
+func refChildLabel(e *eigtree.Enum, h, idx, k int) int {
+	if e.Repeat() {
+		return k
+	}
+	seq := string(e.Level(h)[idx])
+	rank := 0
+	for p := 0; p < e.N(); p++ {
+		if p == e.Source() || strings.IndexByte(seq, byte(p)) >= 0 {
+			continue
+		}
+		if rank == k {
+			return p
+		}
+		rank++
+	}
+	return -1
+}
+
+// refDissent is the reference dissent count: every child's label is
+// looked up, with no shortcut for children that agree with the majority.
+func refDissent(e *eigtree.Enum, lst *List, h, j int, vals []eigtree.CValue, maj eigtree.CValue) int {
+	dissent := 0
+	for k := range vals {
+		q := refChildLabel(e, h, j, k)
+		if q == e.Source() {
+			continue
+		}
+		if !lst.Contains(q) && vals[k] != maj {
+			dissent++
+		}
+	}
+	return dissent
+}
+
+// refDiscoverStored is the reference scan for DiscoverStored.
+func refDiscoverStored(tr *eigtree.Tree, lst *List, t, round int) ([]int, PassStats) {
+	var stats PassStats
+	deepest := tr.Levels() - 1
+	if deepest < 1 {
+		return nil, stats
+	}
+	e := tr.Enum()
+	parents := deepest - 1
+	cc := e.ChildCount(parents)
+	children := tr.LevelValues(deepest)
+	budget := t - lst.Len()
+	var accused []int
+	for j := 0; j < e.Size(parents); j++ {
+		r := e.LastLabel(parents, j)
+		stats.NodesChecked++
+		stats.ChildReads += cc
+		if lst.Contains(r) || contains(accused, r) {
+			continue
+		}
+		vals := make([]eigtree.CValue, cc)
+		for k := range vals {
+			vals[k] = eigtree.CV(children[j*cc+k])
+		}
+		maj, ok := majorityOf(vals, cc)
+		if !ok || refDissent(e, lst, parents, j, vals, maj) > budget {
+			accused = append(accused, r)
+		}
+	}
+	accused = sortedUnique(accused)
+	for _, p := range accused {
+		lst.Add(p, round)
+	}
+	return accused, stats
+}
+
+// refDiscoverConverted is the reference scan for DiscoverConverted.
+func refDiscoverConverted(res *eigtree.Resolution, lst *List, t, round int) ([]int, PassStats) {
+	var stats PassStats
+	if res.Levels() < 2 {
+		return nil, stats
+	}
+	e := res.Enum()
+	budget := t - lst.Len()
+	var accused []int
+	for h := 0; h < res.Levels()-1; h++ {
+		cc := e.ChildCount(h)
+		children := res.LevelValues(h + 1)
+		for j := 0; j < e.Size(h); j++ {
+			r := e.LastLabel(h, j)
+			stats.NodesChecked++
+			stats.ChildReads += cc
+			if lst.Contains(r) || contains(accused, r) {
+				continue
+			}
+			vals := children[j*cc : (j+1)*cc]
+			maj, ok := majorityOf(vals, cc)
+			if !ok || refDissent(e, lst, h, j, vals, maj) > budget {
+				accused = append(accused, r)
+			}
+		}
+	}
+	accused = sortedUnique(accused)
+	for _, p := range accused {
+		lst.Add(p, round)
+	}
+	return accused, stats
+}
+
+// checkDiscoverMatchesReference grows a tree level by level from the given
+// shape and value bytes, running DiscoverStored and its reference after
+// each level on twin lists seeded with the same faults, then
+// DiscoverConverted and its reference on the resolved tree. Accused sets,
+// list rounds and PassStats must match at every step.
+func checkDiscoverMatchesReference(t *testing.T, nRaw, srcRaw, levelsRaw, tRaw uint8, repeat, support bool, listed uint16, data []byte) {
+	t.Helper()
+	n := 4 + int(nRaw)%6 // 4..9
+	src := int(srcRaw) % n
+	maxLevel := 1 + int(levelsRaw)%3 // 1..3
+	if !repeat && maxLevel > n-1 {
+		maxLevel = n - 1
+	}
+	tparam := int(tRaw) % n
+	e, err := eigtree.NewEnum(n, src, repeat, maxLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := NewList(n), NewList(n)
+	for p := 0; p < n; p++ {
+		if listed&(1<<p) != 0 {
+			got.Add(p, 1)
+			want.Add(p, 1)
+		}
+	}
+	// Values lean towards 1 so that majorities, and the dissent a majority
+	// leaves, are common; the low bits of each byte pick a minority value.
+	value := func(i int) eigtree.Value {
+		if len(data) == 0 {
+			return 1
+		}
+		b := data[i%len(data)] ^ byte(i/len(data))
+		if b&3 != 0 {
+			return 1
+		}
+		return eigtree.Value(b>>2) % 4
+	}
+	tr := eigtree.NewTree(e)
+	tr.SetRoot(value(0))
+	pos := 1
+	for h := 1; h <= maxLevel; h++ {
+		if _, err := tr.AddLevel(); err != nil {
+			t.Fatal(err)
+		}
+		vals := tr.LevelValues(h)
+		for i := range vals {
+			vals[i] = value(pos)
+			pos++
+		}
+		round := h + 1
+		gotAcc, gotStats := DiscoverStored(tr, got, tparam, round)
+		wantAcc, wantStats := refDiscoverStored(tr, want, tparam, round)
+		if !reflect.DeepEqual(gotAcc, wantAcc) || gotStats != wantStats {
+			t.Fatalf("n=%d src=%d repeat=%v t=%d level %d: DiscoverStored = %v %+v, reference %v %+v",
+				n, src, repeat, tparam, h, gotAcc, gotStats, wantAcc, wantStats)
+		}
+	}
+	kind := eigtree.ResolveMajority
+	if support {
+		kind = eigtree.ResolveSupport
+	}
+	res, err := tr.Resolve(kind, tparam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := maxLevel + 2
+	gotAcc, gotStats := DiscoverConverted(res, got, tparam, round)
+	wantAcc, wantStats := refDiscoverConverted(res, want, tparam, round)
+	if !reflect.DeepEqual(gotAcc, wantAcc) || gotStats != wantStats {
+		t.Fatalf("n=%d src=%d repeat=%v t=%d %v: DiscoverConverted = %v %+v, reference %v %+v",
+			n, src, repeat, tparam, kind, gotAcc, gotStats, wantAcc, wantStats)
+	}
+	if !reflect.DeepEqual(got.Log(), want.Log()) {
+		t.Fatalf("n=%d src=%d repeat=%v t=%d: list log %v, reference %v", n, src, repeat, tparam, got.Log(), want.Log())
+	}
+}
+
+// FuzzDiscoverMatchesReference: both discovery passes accuse exactly what
+// the reference scan accuses, in the same rounds, with the same PassStats,
+// on arbitrary trees (with and without repetitions), fault lists and t.
+func FuzzDiscoverMatchesReference(f *testing.F) {
+	f.Add(uint8(3), uint8(0), uint8(1), uint8(2), false, false, uint16(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(5), uint8(2), uint8(2), uint8(2), true, false, uint16(0b1010), []byte{0, 4, 8, 12, 1})
+	f.Add(uint8(0), uint8(3), uint8(2), uint8(1), false, true, uint16(0b1), []byte{0, 0, 0, 4, 9, 12, 16})
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(3), true, true, uint16(0), []byte{4})
+	f.Fuzz(func(t *testing.T, nRaw, srcRaw, levelsRaw, tRaw uint8, repeat, support bool, listed uint16, data []byte) {
+		checkDiscoverMatchesReference(t, nRaw, srcRaw, levelsRaw, tRaw, repeat, support, listed, data)
+	})
+}
+
+// TestDiscoverMatchesReference runs the fuzz property over a fixed sweep of
+// seeded random inputs, so every plain `go test` exercises it.
+func TestDiscoverMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 400; i++ {
+		data := make([]byte, 1+rng.Intn(64))
+		rng.Read(data)
+		checkDiscoverMatchesReference(t, uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(4)),
+			rng.Intn(2) == 0, rng.Intn(2) == 0, uint16(rng.Intn(1<<10))&uint16(rng.Intn(1<<10)), data)
 	}
 }

@@ -161,6 +161,9 @@ type LogOption func(*logOptions)
 
 type logOptions struct {
 	apply func(replica int, e LogEntry)
+	// gearResolver, when non-nil, picks replica id's resolver in place of
+	// the log's shared one (tests compare against per-replica caches).
+	gearResolver func(id int) *gearResolver
 }
 
 // WithLogApply installs a state-machine callback invoked once per replica
@@ -405,10 +408,6 @@ func NewReplicatedLog(cfg LogConfig, opts ...LogOption) (*ReplicatedLog, error) 
 	if l.mem != nil && cfg.Tracer != nil {
 		l.mem.SetTracer(cfg.Tracer)
 	}
-	type protoKey struct {
-		alg    Algorithm
-		source int
-	}
 	if cfg.GearPolicy == nil {
 		algFor := func(slot int) Algorithm {
 			if cfg.SlotAlgorithm != nil {
@@ -470,40 +469,29 @@ func NewReplicatedLog(cfg LogConfig, opts ...LogOption) (*ReplicatedLog, error) 
 		rcfg.Protocol = func(slot, source int) (rsm.Protocol, error) { return protos[slot], nil }
 	}
 
-	// mkGearProtocol builds one replica's lazy slot resolver. The cache is
-	// per replica (replicas resolve concurrently under the parallel and
-	// TCP engines); compilations stay cheap because slots repeating an
-	// (algorithm, source) pair share them within the replica. Replica 0's
-	// picks are recorded as the log's gear schedule — the policy is a pure
-	// function of the committed prefix, so every correct replica picks
-	// identically.
-	mkGearProtocol := func(id int) func(slot, source int, prefix []rsm.Entry) (rsm.Protocol, error) {
-		cache := make(map[protoKey]rsm.Protocol)
-		return func(slot, source int, prefix []rsm.Entry) (rsm.Protocol, error) {
-			alg := cfg.GearPolicy.Pick(slot, source, prefix)
-			if id == 0 {
-				l.gearMu.Lock()
-				l.gears[slot] = alg
-				l.gearMu.Unlock()
-			}
-			key := protoKey{alg, source}
-			proto, ok := cache[key]
-			if !ok {
-				var err error
-				proto, err = SlotProtocol(alg, cfg.N, cfg.T, cfg.B, source)
-				if err != nil {
-					return nil, fmt.Errorf("shiftgears: slot %d gear %v: %w", slot, alg, err)
-				}
-				cache[key] = proto
-			}
-			return proto, nil
-		}
+	// One resolver serves every replica; replica 0's picks are recorded
+	// as the log's gear schedule — the policy is a pure function of the
+	// committed prefix, so every correct replica picks identically.
+	var gr *gearResolver
+	if cfg.GearPolicy != nil {
+		gr = newGearResolver(cfg)
 	}
-
 	for id := 0; id < cfg.N; id++ {
 		idcfg := rcfg
-		if cfg.GearPolicy != nil {
-			idcfg.GearProtocol = mkGearProtocol(id)
+		if gr != nil {
+			r := gr
+			if o.gearResolver != nil {
+				r = o.gearResolver(id)
+			}
+			idcfg.GearProtocol = func(slot, source int, prefix []rsm.Entry) (rsm.Protocol, error) {
+				alg, proto, err := r.resolve(slot, source, prefix)
+				if id == 0 {
+					l.gearMu.Lock()
+					l.gears[slot] = alg
+					l.gearMu.Unlock()
+				}
+				return proto, err
+			}
 		}
 		var ropts []rsm.ReplicaOption
 		if o.apply != nil {
@@ -520,6 +508,67 @@ func NewReplicatedLog(cfg LogConfig, opts ...LogOption) (*ReplicatedLog, error) 
 		l.replicas[id] = rep
 	}
 	return l, nil
+}
+
+// protoKey identifies one slot-protocol compilation: every slot running
+// the same algorithm under the same source shares it.
+type protoKey struct {
+	alg    Algorithm
+	source int
+}
+
+// gearResolver resolves a gear-scheduled log's slots to protocols. One
+// resolver serves all N replicas of the log, the way the static path
+// shares one protocol per key: compiled protocols are read-only apart
+// from core.Env's synchronized instance pool, so every replica running
+// an (algorithm, source) pair uses the same compilation and draws from
+// the same pool. The cache fills lazily, on the first pick of a pair by
+// any replica, so construction pays nothing for gears the log never
+// shifts into.
+type gearResolver struct {
+	policy  GearPolicy
+	n, t, b int
+	// compile builds a protocol on a cache miss (SlotProtocol).
+	compile func(alg Algorithm, n, t, b, source int) (rsm.Protocol, error)
+
+	mu    sync.Mutex
+	cache map[protoKey]rsm.Protocol
+}
+
+func newGearResolver(cfg LogConfig) *gearResolver {
+	return &gearResolver{
+		policy: cfg.GearPolicy, n: cfg.N, t: cfg.T, b: cfg.B,
+		compile: SlotProtocol, cache: make(map[protoKey]rsm.Protocol),
+	}
+}
+
+// resolve picks the slot's gear and returns it with its protocol. The
+// policy runs outside the cache lock.
+func (g *gearResolver) resolve(slot, source int, prefix []rsm.Entry) (Algorithm, rsm.Protocol, error) {
+	alg := g.policy.Pick(slot, source, prefix)
+	proto, err := g.protocol(protoKey{alg, source})
+	if err != nil {
+		return alg, nil, fmt.Errorf("shiftgears: slot %d gear %v: %w", slot, alg, err)
+	}
+	return alg, proto, nil
+}
+
+// protocol returns the key's protocol, compiling it on first use. Replicas
+// resolve concurrently under the parallel and TCP engines; a replica that
+// misses while another compiles waits for that compilation rather than
+// repeating it.
+func (g *gearResolver) protocol(key protoKey) (rsm.Protocol, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if proto, ok := g.cache[key]; ok {
+		return proto, nil
+	}
+	proto, err := g.compile(key.alg, g.n, g.t, g.b, key.source)
+	if err != nil {
+		return nil, err
+	}
+	g.cache[key] = proto
+	return proto, nil
 }
 
 // Submit queues a command at the given replica — the replica that
